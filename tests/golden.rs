@@ -10,6 +10,10 @@
 //! extraction plans, allocation elimination) changes **nothing observable**:
 //! a kernel rewrite that alters even one ULP of one metric fails here.
 //!
+//! A second, smaller set in `tests/fixtures/golden_conv_digests.txt` pins a
+//! width-heterogeneous Cifar10 federation, so the `Conv2d` path (which no
+//! UciHar model runs) is covered too.
+//!
 //! To regenerate the fixtures after an *intentional* behaviour change, run:
 //!
 //! ```text
@@ -65,9 +69,9 @@ fn fixture_path() -> std::path::PathBuf {
 }
 
 /// Parses fixture lines of the form `method mode seed 0xDIGEST`.
-fn load_fixtures() -> Vec<(String, String, u64, u64)> {
-    let raw = std::fs::read_to_string(fixture_path())
-        .expect("tests/fixtures/golden_digests.txt is committed with the repo");
+fn load_fixtures(path: &std::path::Path) -> Vec<(String, String, u64, u64)> {
+    let raw = std::fs::read_to_string(path)
+        .unwrap_or_else(|e| panic!("{} is committed with the repo: {e}", path.display()));
     raw.lines()
         .filter(|l| !l.trim().is_empty() && !l.trim_start().starts_with('#'))
         .map(|line| {
@@ -111,7 +115,7 @@ fn golden_digests_match_committed_fixtures() {
         return;
     }
 
-    let fixtures = load_fixtures();
+    let fixtures = load_fixtures(&fixture_path());
     assert_eq!(
         fixtures.len(),
         all_cases().len(),
@@ -152,5 +156,105 @@ fn golden_traces_are_reproducible_within_a_process() {
         assert_eq!(a, b, "same-seed reruns must be byte-identical");
         let c = run_report(method, execution, 43).digest();
         assert_ne!(a, c, "different seeds must produce different traces");
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Conv-path fixtures: a width-heterogeneous Cifar10 federation.
+//
+// The UciHar fixtures above never run a convolution. These pin digests of
+// the image models (conv stem + conv blocks) on a federation where clients
+// really train different models, so a `Conv2d` kernel rewrite that moves one
+// ULP fails here. Regenerate with `GOLDEN_BLESS=1 cargo test --test golden`.
+// ---------------------------------------------------------------------------
+
+/// Methods pinned on the conv path: width-heterogeneous vs. the homogeneous
+/// smallest-model baseline.
+const CONV_METHODS: [MhflMethod; 2] = [MhflMethod::SHeteroFl, MhflMethod::HomogeneousSmallest];
+
+/// Seed of the conv-path fixtures.
+const CONV_SEED: u64 = 17;
+
+fn conv_spec(method: MhflMethod) -> ExperimentSpec {
+    ExperimentSpec::new(
+        DataTask::Cifar10,
+        method,
+        ConstraintCase::Computation {
+            deadline_secs: 30.0,
+        },
+    )
+    .with_scale(RunScale::Quick)
+    .with_seed(CONV_SEED)
+    .with_execution(Execution::Synchronous)
+}
+
+fn conv_fixture_path() -> std::path::PathBuf {
+    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/golden_conv_digests.txt")
+}
+
+#[test]
+fn conv_golden_digests_match_committed_fixtures() {
+    let ctx = conv_spec(MhflMethod::SHeteroFl)
+        .build_context()
+        .expect("conv golden context builds");
+    let distinct: std::collections::BTreeSet<(String, u64, u64)> = (0..ctx.num_clients())
+        .map(|client| {
+            let choice = ctx.assignment(client).entry.choice;
+            (
+                format!("{:?}", choice.family),
+                choice.width_fraction.to_bits(),
+                choice.depth_fraction.to_bits(),
+            )
+        })
+        .collect();
+    assert!(
+        distinct.len() >= 2,
+        "the conv golden federation must assign at least two distinct models, got {}",
+        distinct.len()
+    );
+
+    let digests: Vec<(MhflMethod, u64)> = CONV_METHODS
+        .iter()
+        .map(|&method| {
+            let report = conv_spec(method)
+                .run()
+                .unwrap_or_else(|e| panic!("{method} on Cifar10 failed: {e}"))
+                .report;
+            (method, report.digest())
+        })
+        .collect();
+    assert_ne!(
+        digests[0].1, digests[1].1,
+        "width-heterogeneous and homogeneous-smallest runs must differ on a heterogeneous federation"
+    );
+
+    if std::env::var("GOLDEN_BLESS").is_ok() {
+        let mut out = String::from(
+            "# Golden Cifar10 (conv path) MetricsReport digests (method mode seed digest).\n\
+             # Computation 30 s, Quick scale. Regenerate with: GOLDEN_BLESS=1 cargo test --test golden\n",
+        );
+        for (method, digest) in &digests {
+            out.push_str(&format!("{method} sync {CONV_SEED} 0x{digest:016x}\n"));
+        }
+        std::fs::write(conv_fixture_path(), out).expect("write conv fixtures");
+        return;
+    }
+
+    let fixtures = load_fixtures(&conv_fixture_path());
+    assert_eq!(
+        fixtures.len(),
+        CONV_METHODS.len(),
+        "one conv fixture per method"
+    );
+    for (method, digest) in digests {
+        let expected = fixtures
+            .iter()
+            .find(|(m, e, s, _)| m == &method.to_string() && e == "sync" && *s == CONV_SEED)
+            .unwrap_or_else(|| panic!("no conv fixture for {method}"))
+            .3;
+        assert_eq!(
+            digest, expected,
+            "{method} conv-path digest diverged: expected 0x{expected:016x}, got 0x{digest:016x}"
+        );
     }
 }
