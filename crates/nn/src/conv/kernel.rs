@@ -50,6 +50,15 @@ fn select(keep: bool, new: f32, old: f32) -> f32 {
     }
 }
 
+/// The `N` values of `s` from `at` on, as an array (which the compiler keeps
+/// in registers). Every caller's chunk lies inside its row by construction.
+#[inline(always)]
+fn chunk<const N: usize>(s: &[f32], at: usize) -> &[f32; N] {
+    s[at..]
+        .first_chunk()
+        .expect("a kernel chunk lies inside its row")
+}
+
 /// Taps `lo..hi` of one kernel axis through which output position `o`
 /// reads a real input element: `0 <= o·s + t - p < len`.
 fn taps_of(o: usize, s: usize, p: usize, k: usize, len: usize) -> (usize, usize) {
@@ -372,15 +381,6 @@ struct Padded<'a> {
     live: &'a [u32],
 }
 
-/// Stores the first `n` lanes of each accumulator row into `dst`, one
-/// channel plane of `plane` values apart, for as many channels as `dst`
-/// holds (the padding channels of the last block have no plane).
-fn store_rows<const L: usize>(acc: &[[f32; L]; BLOCK], dst: &mut [f32], plane: usize, n: usize) {
-    for (lanes, dst) in acc.iter().zip(dst.chunks_mut(plane)) {
-        dst[..n].copy_from_slice(&lanes[..n]);
-    }
-}
-
 /// One block of output channels of one sample, from its packed weights
 /// `wblk` (`[ic, ky, kx, BLOCK]`), into `out` (starting at the block's first
 /// channel plane).
@@ -402,6 +402,7 @@ fn forward_block<const K: usize, const S: usize>(
     } = *g;
     let (k, s) = g.ks::<K, S>();
     let span = (LANES - 1) * s + 1;
+    // Real channels in this block; the rest are padding, never stored.
     let planes = (out.len() / (oh * ow)).min(BLOCK);
     for oy in 0..oh {
         let (ky_lo, ky_hi) = taps_of(oy, s, p, k, h);
@@ -415,12 +416,11 @@ fn forward_block<const K: usize, const S: usize>(
                     let wrow = &wblk[(ic * k + ky) * k * BLOCK..][..k * BLOCK];
                     for kx in 0..k {
                         let live: &[u32; LANES] = input.live[(kx * input.chunks + c) * LANES..]
-                            [..LANES]
-                            .try_into()
-                            .unwrap();
+                            .first_chunk()
+                            .expect("one mask per lane");
                         let seg = &xrow[ox0 * s + kx..][..span];
                         let xs: [f32; LANES] = std::array::from_fn(|j| seg[j * s]);
-                        let ws: &[f32; BLOCK] = wrow[kx * BLOCK..][..BLOCK].try_into().unwrap();
+                        let ws: &[f32; BLOCK] = chunk(wrow, kx * BLOCK);
                         for (lanes, &wv) in acc.iter_mut().zip(ws) {
                             for j in 0..LANES {
                                 lanes[j] = select(live[j] != 0, lanes[j] + xs[j] * wv, lanes[j]);
@@ -429,14 +429,10 @@ fn forward_block<const K: usize, const S: usize>(
                     }
                 }
             }
-            let at = oy * ow + ox0;
             let n = LANES.min(ow - ox0);
-            store_rows(
-                &acc,
-                &mut out[at..(planes - 1) * oh * ow + at + n],
-                oh * ow,
-                n,
-            );
+            for (b, lanes) in acc.iter().enumerate().take(planes) {
+                out[(b * oh + oy) * ow + ox0..][..n].copy_from_slice(&lanes[..n]);
+            }
         }
     }
 }
@@ -461,6 +457,7 @@ fn input_grad_block<const K: usize, const S: usize>(
         ..
     } = *g;
     let (k, s) = g.ks::<K, S>();
+    // Real channels in this block; the rest are padding, never stored.
     let planes = (dx.len() / (h * w)).min(BLOCK);
     for iy in 0..h {
         for c in 0..grad.chunks {
@@ -478,9 +475,8 @@ fn input_grad_block<const K: usize, const S: usize>(
                     let grow = &grad.rows[(oc * oh + t / s) * grad.row..][..grad.row];
                     let wrow = &wblk[(oc * k + ky) * k * BLOCK..][..k * BLOCK];
                     for kx in (0..k).rev() {
-                        let gs: &[f32; LANES] =
-                            grow[ix0 + p + k - 1 - kx..][..LANES].try_into().unwrap();
-                        let ws: &[f32; BLOCK] = wrow[kx * BLOCK..][..BLOCK].try_into().unwrap();
+                        let gs: &[f32; LANES] = chunk(grow, ix0 + p + k - 1 - kx);
+                        let ws: &[f32; BLOCK] = chunk(wrow, kx * BLOCK);
                         for (lanes, &wv) in acc.iter_mut().zip(ws) {
                             for j in 0..LANES {
                                 lanes[j] = select(gs[j] != 0.0, lanes[j] + gs[j] * wv, lanes[j]);
@@ -489,9 +485,10 @@ fn input_grad_block<const K: usize, const S: usize>(
                     }
                 }
             }
-            let at = iy * w + ix0;
             let n = LANES.min(w - ix0);
-            store_rows(&acc, &mut dx[at..(planes - 1) * h * w + at + n], h * w, n);
+            for (b, lanes) in acc.iter().enumerate().take(planes) {
+                dx[(b * h + iy) * w + ix0..][..n].copy_from_slice(&lanes[..n]);
+            }
         }
     }
 }
@@ -525,17 +522,13 @@ fn weight_grad_block<const K: usize, const S: usize>(
             let (ox_lo, ox_hi) = outputs_of(kx, s, p, w, ow);
             for c in (0..ocp).step_by(OC_LANES) {
                 let at = |b: usize| ((b * k + ky) * k + kx) * ocp + c;
-                let mut acc: [[f32; OC_LANES]; BLOCK] =
-                    std::array::from_fn(|b| dwt[at(b)..][..OC_LANES].try_into().unwrap());
+                let mut acc: [[f32; OC_LANES]; BLOCK] = std::array::from_fn(|b| *chunk(dwt, at(b)));
                 for oy in oy_lo..oy_hi {
                     let iy = oy * s + ky - p;
                     for ox in ox_lo..ox_hi {
                         let ix = ox * s + kx - p;
-                        let gs: &[f32; OC_LANES] = dyt[(oy * ow + ox) * ocp + c..][..OC_LANES]
-                            .try_into()
-                            .unwrap();
-                        let xs: &[f32; BLOCK] =
-                            xt[(iy * w + ix) * icp..][..BLOCK].try_into().unwrap();
+                        let gs: &[f32; OC_LANES] = chunk(dyt, (oy * ow + ox) * ocp + c);
+                        let xs: &[f32; BLOCK] = chunk(xt, (iy * w + ix) * icp);
                         for (lanes, &xv) in acc.iter_mut().zip(xs) {
                             for j in 0..OC_LANES {
                                 lanes[j] = select(gs[j] != 0.0, lanes[j] + gs[j] * xv, lanes[j]);
