@@ -377,18 +377,6 @@ mod tests {
     }
 
     #[test]
-    fn negative_zero_bias_survives_all_padding_outputs() {
-        // With k = 1 and padding 2 the border outputs read no input at all:
-        // they must be exactly the bias, sign of zero included.
-        let mut rng = SeededRng::new(12);
-        let mut conv = Conv2d::new(2, 1, 1, 1, 2, &mut rng).unwrap();
-        conv.bias.value = Tensor::from_vec(vec![-0.0], &[1]).unwrap();
-        let y = conv.forward(&Tensor::ones(&[1, 2, 3, 3]), true).unwrap();
-        assert_eq!(y.dims(), &[1, 1, 7, 7]);
-        assert_eq!(y.as_slice()[0].to_bits(), (-0.0f32).to_bits());
-    }
-
-    #[test]
     fn malformed_grad_output_is_bad_input() {
         let mut rng = SeededRng::new(13);
         let mut conv = Conv2d::new(2, 3, 3, 1, 1, &mut rng).unwrap();

@@ -214,7 +214,6 @@ impl Geometry {
                 rows: &xp,
                 row,
                 chunks,
-                live: &live,
             };
             for (wblk, oc0) in wpack
                 .chunks_exact(block_len)
@@ -223,7 +222,7 @@ impl Geometry {
                 let bias: [f32; BLOCK] =
                     std::array::from_fn(|b| bias.get(oc0 + b).copied().unwrap_or(0.0));
                 let out_blk = &mut out_n[oc0 * oh * ow..];
-                forward_block::<K, S>(self, &input, wblk, bias, out_blk);
+                forward_block::<K, S>(self, &input, &live, wblk, bias, out_blk);
             }
         }
         arena.recycle(xp);
@@ -281,7 +280,6 @@ impl Geometry {
                 rows: &dyp,
                 row,
                 chunks,
-                live: &[],
             };
             for (wblk, ic0) in wpack.chunks_exact(block_len).zip((0..in_ch).step_by(BLOCK)) {
                 input_grad_block::<K, S>(self, &grad, wblk, &mut dx_n[ic0 * h * w..]);
@@ -377,17 +375,16 @@ struct Padded<'a> {
     rows: &'a [f32],
     row: usize,
     chunks: usize,
-    /// Forward only: whether a tap of a chunk's lane reads a real column.
-    live: &'a [u32],
 }
 
 /// One block of output channels of one sample, from its packed weights
 /// `wblk` (`[ic, ky, kx, BLOCK]`), into `out` (starting at the block's first
-/// channel plane).
+/// channel plane). `live` holds the padding masks built in `forward_with`.
 #[inline(never)]
 fn forward_block<const K: usize, const S: usize>(
     g: &Geometry,
     input: &Padded,
+    live: &[u32],
     wblk: &[f32],
     bias: [f32; BLOCK],
     out: &mut [f32],
@@ -415,7 +412,7 @@ fn forward_block<const K: usize, const S: usize>(
                     let xrow = &input.rows[(ic * h + oy * s + ky - p) * input.row..][..input.row];
                     let wrow = &wblk[(ic * k + ky) * k * BLOCK..][..k * BLOCK];
                     for kx in 0..k {
-                        let live: &[u32; LANES] = input.live[(kx * input.chunks + c) * LANES..]
+                        let live: &[u32; LANES] = live[(kx * input.chunks + c) * LANES..]
                             .first_chunk()
                             .expect("one mask per lane");
                         let seg = &xrow[ox0 * s + kx..][..span];
