@@ -118,20 +118,20 @@ impl Conv2d {
 impl Layer for Conv2d {
     fn forward(&mut self, input: &Tensor, _train: bool) -> Result<Tensor> {
         let dims = input.dims();
-        let k = self.kernel;
-        let reach = 2 * self.padding;
+        // Every output must read at least one real input element: the
+        // padded map has to hold a whole kernel, and the map itself must
+        // not be empty.
+        let min_side = self.kernel.saturating_sub(2 * self.padding).max(1);
         if input.rank() != 4
             || dims[1] != self.in_channels
-            || dims[2] + reach < k
-            || dims[3] + reach < k
+            || dims[2] < min_side
+            || dims[3] < min_side
         {
             return Err(NnError::BadInput {
                 layer: "Conv2d".into(),
                 expected: format!(
-                    "[batch, {}, h, w] input with h, w >= {} (kernel {k}, padding {})",
-                    self.in_channels,
-                    k.saturating_sub(reach).max(1),
-                    self.padding
+                    "[batch, {}, h, w] input with h, w >= {min_side} (kernel {}, padding {})",
+                    self.in_channels, self.kernel, self.padding
                 ),
                 got: dims.to_vec(),
             });
@@ -407,6 +407,12 @@ mod tests {
         // h + 2·padding == kernel is the smallest valid input: a 1×1 output.
         let y = conv.forward(&Tensor::zeros(&[1, 1, 3, 3]), true).unwrap();
         assert_eq!(y.dims(), &[1, 1, 1, 1]);
+        // Padding wider than the kernel still needs a non-empty map.
+        let mut wide = Conv2d::new(1, 1, 3, 1, 2, &mut rng).unwrap();
+        for dims in [[1, 1, 0, 4], [1, 1, 4, 0]] {
+            let err = wide.forward(&Tensor::zeros(&dims), true).unwrap_err();
+            assert!(matches!(err, NnError::BadInput { .. }), "{dims:?}: {err:?}");
+        }
     }
 
     #[test]
