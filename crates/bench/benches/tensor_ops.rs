@@ -12,22 +12,18 @@ fn bench_tensor_ops(c: &mut Criterion) {
     c.bench_function("matmul_64x64", |bench| {
         bench.iter(|| black_box(a.matmul(&b).unwrap()))
     });
-    // The blocked kernel vs. the retained naive reference, and the
-    // transpose-aware variant vs. materialising the transpose, at a
-    // training-step-sized shape.
+    // A training-step-sized product, and the transpose-aware variant vs.
+    // materialising the transpose.
     let x = Tensor::randn(&[64, 256], 1.0, &mut rng);
     let w = Tensor::randn(&[256, 256], 0.1, &mut rng);
-    c.bench_function("matmul_blocked_64x256x256", |bench| {
+    c.bench_function("matmul_64x256x256", |bench| {
         bench.iter(|| black_box(x.matmul(&w).unwrap()))
-    });
-    c.bench_function("matmul_naive_64x256x256", |bench| {
-        bench.iter(|| black_box(x.matmul_naive(&w).unwrap()))
     });
     c.bench_function("matmul_nt_64x256x256", |bench| {
         bench.iter(|| black_box(x.matmul_nt(&w).unwrap()))
     });
-    c.bench_function("matmul_transpose_then_naive_64x256x256", |bench| {
-        bench.iter(|| black_box(x.matmul_naive(&w.transpose().unwrap()).unwrap()))
+    c.bench_function("matmul_transpose_then_matmul_64x256x256", |bench| {
+        bench.iter(|| black_box(x.matmul(&w.transpose().unwrap()).unwrap()))
     });
     let logits = Tensor::randn(&[128, 100], 1.0, &mut rng);
     c.bench_function("softmax_rows_128x100", |bench| {

@@ -3,12 +3,10 @@
 //! Two sections, both emitted into `BENCH_paper_scale.json`:
 //!
 //! * **micro** — the rebuilt hot paths timed head-to-head against their
-//!   retained reference implementations inside one binary: the blocked /
-//!   transpose-aware matmul kernels vs. the naive transpose-materialising
-//!   data flow, and plan-cached single-pass sub-model extraction +
-//!   scatter-add aggregation vs. the clone-then-gather-per-axis path with
-//!   randomly re-initialised client models. The reported `speedup` values
-//!   are the wall-clock ratios the tentpole rewrite is accountable for.
+//!   retained reference implementations inside one binary: plan-cached
+//!   single-pass sub-model extraction + scatter-add aggregation vs. the
+//!   clone-then-gather-per-axis path with randomly re-initialised client
+//!   models. The reported `speedup` values are the wall-clock ratios.
 //! * **families** — one full `RunScale::Paper` federated round (setup →
 //!   client phase at the paper's client counts → aggregation → global
 //!   evaluation) per algorithm family, with per-phase wall-clock splits.
@@ -59,7 +57,7 @@ use mhfl_fl::submodel::{
 };
 use mhfl_fl::{run_clients, ClientPayload, Parallelism, Schedule};
 use mhfl_models::{InputKind, MhflMethod, ModelFamily, ProxyConfig, ProxyModel};
-use mhfl_tensor::{ArenaStats, SeededRng, Tensor, TensorArena};
+use mhfl_tensor::{ArenaStats, SeededRng, TensorArena};
 use pracmhbench_core::ExperimentSpec;
 
 /// Committed ceiling on steady-state tensor-storage allocations per warm
@@ -93,36 +91,6 @@ fn time<R>(reps: usize, mut f: impl FnMut() -> R) -> f64 {
         std::hint::black_box(f());
     }
     start.elapsed().as_secs_f64()
-}
-
-/// Linear-layer data flow at a paper-ish shape: forward `x·Wᵀ`, backward
-/// `dYᵀ·X` and `dY·W`, reference = materialised transposes + naive kernel.
-fn micro_linear(reps: usize) -> Micro {
-    let mut rng = SeededRng::new(7);
-    let (batch, inf, outf) = (64usize, 256usize, 256usize);
-    let x = Tensor::randn(&[batch, inf], 1.0, &mut rng);
-    let w = Tensor::randn(&[outf, inf], 0.1, &mut rng);
-    let dy = Tensor::randn(&[batch, outf], 0.5, &mut rng);
-
-    let reference_secs = time(reps, || {
-        let y = x.matmul_naive(&w.transpose().unwrap()).unwrap();
-        let dw = dy.transpose().unwrap().matmul_naive(&x).unwrap();
-        let db = dy.transpose().unwrap().row_sums().unwrap();
-        let dx = dy.matmul_naive(&w).unwrap();
-        (y, dw, db, dx)
-    });
-    let optimised_secs = time(reps, || {
-        let y = x.matmul_nt(&w).unwrap();
-        let dw = dy.matmul_tn(&x).unwrap();
-        let db = dy.col_sums().unwrap();
-        let dx = dy.matmul(&w).unwrap();
-        (y, dw, db, dx)
-    });
-    Micro {
-        name: "linear_forward_backward",
-        reference_secs,
-        optimised_secs,
-    }
 }
 
 fn extraction_fixture() -> (ProxyConfig, ProxyModel) {
@@ -285,14 +253,15 @@ fn run_family_round(method: MhflMethod, scale: RunScale) -> FamilyRound {
     }
 }
 
+/// Steady rounds the arena probe measures after its warm-up round.
+const PROBE_STEADY_ROUNDS: usize = 2;
+
 /// Steady-state allocation behaviour of the tensor arena under repeated
 /// federated rounds: one warm-up round fills the pool, then the per-round
-/// counter deltas over `steady_rounds` further rounds measure what a warm
-/// round still allocates fresh.
+/// counter deltas over [`PROBE_STEADY_ROUNDS`] further rounds measure what a
+/// warm round still allocates fresh.
 struct ArenaProbe {
-    counting_enabled: bool,
     warmup_fresh_allocs: u64,
-    steady_rounds: usize,
     fresh_allocs_per_round: u64,
     pool_hits_per_round: u64,
     recycled_per_round: u64,
@@ -307,32 +276,34 @@ fn stats_delta(after: ArenaStats, before: ArenaStats) -> ArenaStats {
     }
 }
 
-fn probe_arena(scale: RunScale) -> ArenaProbe {
+/// Runs the arena probe, or returns `None` without running any round when
+/// the counters are compiled out: every count would read zero, which looks
+/// like "no allocations" rather than "not counted".
+fn probe_arena(scale: RunScale) -> Option<ArenaProbe> {
+    if !TensorArena::counting_enabled() {
+        eprintln!(
+            "paper_scale: arena allocations not counted \
+             (rebuild with --features alloc-count for real numbers)"
+        );
+        return None;
+    }
     let arena = TensorArena::global();
-    let steady_rounds = 2usize;
     eprintln!(
-        "paper_scale: arena allocation probe (1 warm-up + {steady_rounds} steady rounds, \
-         counting {})...",
-        if TensorArena::counting_enabled() {
-            "on"
-        } else {
-            "OFF — rebuild with --features alloc-count for real numbers"
-        }
+        "paper_scale: arena allocation probe (1 warm-up + {PROBE_STEADY_ROUNDS} steady rounds)..."
     );
     let before_warmup = arena.stats();
     run_family_round(MhflMethod::SHeteroFl, scale);
     let after_warmup = arena.stats();
-    for _ in 0..steady_rounds {
+    for _ in 0..PROBE_STEADY_ROUNDS {
         run_family_round(MhflMethod::SHeteroFl, scale);
     }
     let steady = stats_delta(arena.stats(), after_warmup);
+    let rounds = PROBE_STEADY_ROUNDS as u64;
     let probe = ArenaProbe {
-        counting_enabled: TensorArena::counting_enabled(),
         warmup_fresh_allocs: stats_delta(after_warmup, before_warmup).fresh_allocs,
-        steady_rounds,
-        fresh_allocs_per_round: steady.fresh_allocs / steady_rounds as u64,
-        pool_hits_per_round: steady.pool_hits / steady_rounds as u64,
-        recycled_per_round: steady.recycled / steady_rounds as u64,
+        fresh_allocs_per_round: steady.fresh_allocs / rounds,
+        pool_hits_per_round: steady.pool_hits / rounds,
+        recycled_per_round: steady.recycled / rounds,
     };
     eprintln!(
         "  warm-up round: {} fresh allocations; steady state: {}/round fresh, \
@@ -342,7 +313,7 @@ fn probe_arena(scale: RunScale) -> ArenaProbe {
         probe.pool_hits_per_round,
         ALLOC_CEILING_PER_ROUND
     );
-    probe
+    Some(probe)
 }
 
 fn scale_label(scale: RunScale) -> &'static str {
@@ -487,11 +458,7 @@ fn run_distributed_bench(scale: RunScale, workers: usize, micro_reps: usize) {
         outcome.run_secs
     );
 
-    let micros = [
-        micro_linear(micro_reps),
-        micro_extraction(micro_reps),
-        micro_aggregation(micro_reps),
-    ];
+    let micros = [micro_extraction(micro_reps), micro_aggregation(micro_reps)];
 
     let mut json = String::from("{\n");
     json.push_str(&format!("  \"scale\": \"{}\",\n", scale_label(scale)));
@@ -565,12 +532,8 @@ fn main() {
     let scale = scale_from_args();
     let args: Vec<String> = std::env::args().skip(1).collect();
     if let Some(endpoint) = arg_value("--connect") {
-        // Worker processes share kernels with the other workers and the
-        // server on one machine; keep each single-threaded.
         return run_worker_child(&endpoint, &args);
     }
-    // One process on one machine: let server-phase kernels use every core.
-    mhfl_tensor::set_kernel_workers(0);
     if let Some(path) = arg_value("--resume") {
         return run_durable(scale, &path, true);
     }
@@ -593,11 +556,7 @@ fn main() {
     };
 
     eprintln!("paper_scale: micro benchmarks ({micro_reps} reps)...");
-    let micros = [
-        micro_linear(micro_reps),
-        micro_extraction(micro_reps),
-        micro_aggregation(micro_reps),
-    ];
+    let micros = [micro_extraction(micro_reps), micro_aggregation(micro_reps)];
     for m in &micros {
         eprintln!(
             "  {:<26} reference {:>9.4}s  optimised {:>9.4}s  speedup {:>6.2}x",
@@ -636,10 +595,9 @@ fn main() {
 
     let probe = probe_arena(family_scale);
     if has_flag("--alloc-audit") {
-        assert!(
-            probe.counting_enabled,
+        let probe = probe.as_ref().expect(
             "--alloc-audit needs allocation counters; rebuild with \
-             `--features alloc-count`"
+             `--features alloc-count`",
         );
         assert!(
             probe.fresh_allocs_per_round <= ALLOC_CEILING_PER_ROUND,
@@ -692,30 +650,30 @@ fn main() {
         ));
     }
     json.push_str("  ],\n");
+    // A count the build did not take is `null`, never a zero.
+    let count = |field: fn(&ArenaProbe) -> u64| {
+        probe
+            .as_ref()
+            .map_or_else(|| "null".to_string(), |p| field(p).to_string())
+    };
     json.push_str("  \"arena\": {\n");
-    json.push_str(&format!(
-        "    \"counting_enabled\": {},\n",
-        probe.counting_enabled
-    ));
+    json.push_str(&format!("    \"counting_enabled\": {},\n", probe.is_some()));
     json.push_str(&format!(
         "    \"warmup_round_fresh_allocs\": {},\n",
-        probe.warmup_fresh_allocs
+        count(|p| p.warmup_fresh_allocs)
     ));
-    json.push_str(&format!(
-        "    \"steady_rounds\": {},\n",
-        probe.steady_rounds
-    ));
+    json.push_str(&format!("    \"steady_rounds\": {PROBE_STEADY_ROUNDS},\n"));
     json.push_str(&format!(
         "    \"steady_fresh_allocs_per_round\": {},\n",
-        probe.fresh_allocs_per_round
+        count(|p| p.fresh_allocs_per_round)
     ));
     json.push_str(&format!(
         "    \"steady_pool_hits_per_round\": {},\n",
-        probe.pool_hits_per_round
+        count(|p| p.pool_hits_per_round)
     ));
     json.push_str(&format!(
         "    \"steady_recycled_per_round\": {},\n",
-        probe.recycled_per_round
+        count(|p| p.recycled_per_round)
     ));
     json.push_str(&format!(
         "    \"alloc_ceiling_per_round\": {ALLOC_CEILING_PER_ROUND}\n"

@@ -16,6 +16,10 @@ use serde::{Deserialize, Serialize};
 use crate::{ClientUpdate, FederationContext, FlAlgorithm, FlError, FlResult};
 
 /// How the engine executes the client phase of each round.
+///
+/// Client fan-out is the engine's only level of parallelism: tensor kernels
+/// never spawn threads, so each client's training runs sequentially on the
+/// worker thread that picked it up.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub enum Parallelism {
     /// One client after another on the calling thread.
@@ -43,21 +47,6 @@ impl Parallelism {
                 .unwrap_or(1)
                 .min(jobs.max(1)),
             Parallelism::Threads { workers } => workers.min(jobs.max(1)),
-        }
-    }
-
-    /// The worker budget this mode grants the tensor kernels: matmul calls
-    /// issued *outside* the client fan-out (server-phase aggregation,
-    /// evaluation) may split their output rows across this many threads.
-    /// `Sequential` keeps everything on one thread. Results are bitwise
-    /// independent of the value; only wall-clock time changes.
-    pub fn kernel_workers(&self) -> usize {
-        match *self {
-            Parallelism::Sequential => 1,
-            Parallelism::Threads { workers: 0 } => std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1),
-            Parallelism::Threads { workers } => workers.max(1),
         }
     }
 }
@@ -142,10 +131,6 @@ pub fn run_clients(
     std::thread::scope(|scope| {
         for _ in 0..workers {
             scope.spawn(|| {
-                // The cores are already saturated by this fan-out: kernels
-                // issued from a client worker must not spawn another level
-                // of row-range threads on top of it.
-                mhfl_tensor::mark_worker_thread();
                 loop {
                     // Stop pulling work once any client has failed: the
                     // round is lost either way, so don't pay for the

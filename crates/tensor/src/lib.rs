@@ -12,13 +12,14 @@
 //!   extraction),
 //! * seeded random initialisation so every experiment is reproducible.
 //!
-//! The library intentionally avoids `unsafe`, SIMD intrinsics and GPU
-//! support, but the matmul path is performance-engineered: [`kernels`]
-//! provides blocked/tiled kernels with L1-sized packed panels,
-//! transpose-aware `A·Bᵀ`/`Aᵀ·B` variants and optional row-range threading
-//! over a worker pool ([`set_kernel_workers`]) — all bitwise identical to
-//! the retained naive reference kernel ([`Tensor::matmul_naive`]), so
-//! reproducibility survives every optimisation.
+//! The library intentionally avoids `unsafe`, SIMD intrinsics, GPU support
+//! and threads of its own. Matrix products run one sequential `ikj` loop
+//! ([`Tensor::matmul`]; [`Tensor::matmul_nt`] copies `Bᵀ` first and
+//! [`Tensor::matmul_tn`] reduces over the shared leading axis). Every output
+//! element sums `a[i,k]·b[k,j]` in ascending `k` with plain `f32`
+//! multiply-then-add, so results are fixed to the bit and reproducibility
+//! holds. Parallelism belongs to the caller: the federated engine runs
+//! clients side by side, each on its own thread.
 //!
 //! Tensor storage itself is pooled: every buffer is leased from the
 //! process-wide [`TensorArena`] and recycled on drop, so steady-state
@@ -42,7 +43,7 @@
 
 pub mod arena;
 mod error;
-pub mod kernels;
+mod kernels;
 mod ops;
 mod rng;
 mod shape;
@@ -50,7 +51,6 @@ mod tensor;
 
 pub use arena::{ArenaStats, TensorArena};
 pub use error::TensorError;
-pub use kernels::{kernel_workers, mark_worker_thread, set_kernel_workers};
 pub use rng::{RngState, SeededRng};
 pub use shape::Shape;
 pub use tensor::Tensor;

@@ -151,9 +151,8 @@ impl Tensor {
 
     /// Matrix multiplication of two rank-2 tensors: `[m, k] x [k, n] -> [m, n]`.
     ///
-    /// Runs the blocked kernel of [`crate::kernels`]; bitwise identical to
-    /// [`Tensor::matmul_naive`] for finite inputs and independent of the
-    /// configured kernel worker count.
+    /// Every output element sums its terms in ascending `k` order, so the
+    /// result is fixed to the bit.
     ///
     /// # Errors
     /// Returns an error if either operand is not rank-2 or the inner
@@ -172,47 +171,10 @@ impl Tensor {
         Tensor::from_pool(out, &[m, n])
     }
 
-    /// The retained naive reference kernel: `ikj` loop order, one pass, no
-    /// blocking, no threading. Kept (and property-tested) as the ground
-    /// truth the blocked [`Tensor::matmul`] and the transpose-aware
-    /// variants must agree with bit-for-bit.
-    ///
-    /// # Errors
-    /// Returns an error if either operand is not rank-2 or the inner
-    /// dimensions disagree.
-    pub fn matmul_naive(&self, rhs: &Tensor) -> Result<Tensor> {
-        let [m, k, k2, n] = self.matmul_dims(rhs, "matmul")?;
-        if k != k2 {
-            return Err(TensorError::ShapeMismatch {
-                left: self.dims().to_vec(),
-                right: rhs.dims().to_vec(),
-                op: "matmul",
-            });
-        }
-        let a = self.as_slice();
-        let b = rhs.as_slice();
-        let mut out = TensorArena::global().lease_zeroed(m * n);
-        // ikj loop order keeps the inner loop contiguous over both `b` and `out`.
-        for i in 0..m {
-            for kk in 0..k {
-                let aik = a[i * k + kk];
-                if aik == 0.0 {
-                    continue;
-                }
-                let brow = &b[kk * n..(kk + 1) * n];
-                let orow = &mut out[i * n..(i + 1) * n];
-                for (o, &bv) in orow.iter_mut().zip(brow) {
-                    *o += aik * bv;
-                }
-            }
-        }
-        Tensor::from_pool(out, &[m, n])
-    }
-
     /// Transpose-aware product `self × rhsᵀ`: `[m, k] x [n, k] -> [m, n]`,
-    /// without materialising the transpose. Bitwise identical to
-    /// `self.matmul(&rhs.transpose()?)` for finite inputs — this is the
-    /// kernel behind `y = x Wᵀ` in `Linear::forward`.
+    /// without allocating a transposed tensor. Bitwise identical to
+    /// `self.matmul(&rhs.transpose()?)` — this is the kernel behind
+    /// `y = x Wᵀ` in `Linear::forward`.
     ///
     /// # Errors
     /// Returns an error if either operand is not rank-2 or the trailing
@@ -233,8 +195,8 @@ impl Tensor {
 
     /// Transpose-aware product `selfᵀ × rhs`: `[k, m] x [k, n] -> [m, n]`,
     /// without materialising the transpose. Bitwise identical to
-    /// `self.transpose()?.matmul(rhs)` for finite inputs — this is the
-    /// kernel behind `dW = dYᵀ X` in `Linear::backward`.
+    /// `self.transpose()?.matmul(rhs)` — this is the kernel behind
+    /// `dW = dYᵀ X` in `Linear::backward`.
     ///
     /// # Errors
     /// Returns an error if either operand is not rank-2 or the leading
@@ -515,56 +477,78 @@ mod tests {
         assert!(v.matmul(&a).is_err());
     }
 
+    /// Independent per-element reference: for each `(i, j)`, start at
+    /// `+0.0` and add `a[i,k]·b[k,j]` over ascending `k`, skipping
+    /// `a == 0.0` terms. A different loop nest from the kernels, the same
+    /// accumulation order.
+    fn reference_matmul(a: &Tensor, b: &Tensor) -> Vec<u32> {
+        let ([m, k], n) = ([a.dims()[0], a.dims()[1]], b.dims()[1]);
+        let (a, b) = (a.as_slice(), b.as_slice());
+        let mut out = Vec::with_capacity(m * n);
+        for i in 0..m {
+            for j in 0..n {
+                let mut acc = 0.0f32;
+                for kk in 0..k {
+                    let av = a[i * k + kk];
+                    if av != 0.0 {
+                        acc += av * b[kk * n + j];
+                    }
+                }
+                out.push(acc.to_bits());
+            }
+        }
+        out
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
     #[test]
-    fn blocked_and_transpose_aware_kernels_match_naive_bitwise() {
+    fn kernels_match_per_element_reference_bitwise() {
         let mut rng = crate::SeededRng::new(7);
         for &(m, k, n) in &[
             (1usize, 1usize, 1usize),
             (2, 3, 2),
             (5, 7, 9),
-            (1, 16, 130), // wide output: exercises the packed-panel path
+            (1, 16, 130), // 1×n
+            (37, 11, 1),  // m×1
             (3, 0, 4),    // k = 0: all-zero output
-            (17, 70, 33), // non-multiple-of-tile dims
+            (17, 70, 33), // not powers of two
         ] {
-            let a = Tensor::randn(&[m, k], 1.0, &mut rng);
-            let b = Tensor::randn(&[k, n], 1.0, &mut rng);
-            let naive = a.matmul_naive(&b).unwrap();
-            let blocked = a.matmul(&b).unwrap();
+            let mut a = Tensor::randn(&[m, k], 1.0, &mut rng);
+            let mut b = Tensor::randn(&[k, n], 1.0, &mut rng);
+            // Scattered -0.0 in both operands, and an all -0.0 first row of
+            // `a`, whose terms are all skipped.
+            for (idx, v) in a.as_mut_slice().iter_mut().enumerate() {
+                if idx < k || idx % 3 == 0 {
+                    *v = -0.0;
+                }
+            }
+            for v in b.as_mut_slice().iter_mut().step_by(5) {
+                *v = -0.0;
+            }
+            // An infinite `b[0, 0]` meets the zero `a[0, 0]`: skipping the
+            // term keeps `+0.0`, multiplying it in would give NaN.
+            if let Some(first) = b.as_mut_slice().first_mut() {
+                *first = f32::INFINITY;
+            }
+            let expected = reference_matmul(&a, &b);
+            assert!(expected[..n].iter().all(|&v| v == 0.0f32.to_bits()));
+            let at = a.transpose().unwrap();
+            let bt = b.transpose().unwrap();
+            assert_eq!(bits(&a.matmul(&b).unwrap()), expected, "matmul {m}x{k}x{n}");
             assert_eq!(
-                naive
-                    .as_slice()
-                    .iter()
-                    .map(|v| v.to_bits())
-                    .collect::<Vec<_>>(),
-                blocked
-                    .as_slice()
-                    .iter()
-                    .map(|v| v.to_bits())
-                    .collect::<Vec<_>>(),
-                "blocked matmul diverged at {m}x{k}x{n}"
+                bits(&a.matmul_nt(&bt).unwrap()),
+                expected,
+                "matmul_nt {m}x{k}x{n}"
             );
-            let bt = Tensor::randn(&[n, k], 1.0, &mut rng);
-            let nt = a.matmul_nt(&bt).unwrap();
-            let nt_ref = a.matmul_naive(&bt.transpose().unwrap()).unwrap();
-            assert_eq!(nt, nt_ref, "matmul_nt diverged at {m}x{k}x{n}");
-            let at = Tensor::randn(&[k, m], 1.0, &mut rng);
-            let tn = at.matmul_tn(&b).unwrap();
-            let tn_ref = at.transpose().unwrap().matmul_naive(&b).unwrap();
-            assert_eq!(tn, tn_ref, "matmul_tn diverged at {m}x{k}x{n}");
+            assert_eq!(
+                bits(&at.matmul_tn(&b).unwrap()),
+                expected,
+                "matmul_tn {m}x{k}x{n}"
+            );
         }
-    }
-
-    #[test]
-    fn matmul_is_worker_count_invariant() {
-        let _guard = crate::kernels::worker_test_lock();
-        let mut rng = crate::SeededRng::new(11);
-        let a = Tensor::randn(&[64, 48], 1.0, &mut rng);
-        let b = Tensor::randn(&[48, 160], 1.0, &mut rng);
-        let sequential = a.matmul(&b).unwrap();
-        crate::set_kernel_workers(4);
-        let threaded = a.matmul(&b).unwrap();
-        crate::set_kernel_workers(1);
-        assert_eq!(sequential, threaded);
     }
 
     #[test]
@@ -577,7 +561,6 @@ mod tests {
         let v = Tensor::from_vec(vec![1.0], &[1]).unwrap();
         assert!(v.matmul_nt(&a).is_err());
         assert!(v.matmul_tn(&a).is_err());
-        assert!(a.matmul_naive(&t2(&[1.0, 2.0, 3.0], 3, 1)).is_err());
     }
 
     #[test]
